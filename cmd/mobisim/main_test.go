@@ -174,6 +174,22 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
+// TestAggregateFlagIsNoOp: -aggregate is kept for old command lines
+// (the benchmark passes it) and must not change a run's output.
+func TestAggregateFlagIsNoOp(t *testing.T) {
+	plain, err := runCapture(t, "-simtime", "1000", "-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := runCapture(t, "-simtime", "1000", "-json", "-aggregate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain != agg {
+		t.Fatalf("-aggregate changed the output:\n%s\n--- without ---\n%s", agg, plain)
+	}
+}
+
 func TestObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	tl := filepath.Join(dir, "tl.csv")

@@ -10,7 +10,6 @@ import (
 	"mobicache/internal/analyzers/errchecksim"
 	"mobicache/internal/analyzers/framework"
 	"mobicache/internal/analyzers/hotalloc"
-	"mobicache/internal/analyzers/kernelctx"
 	"mobicache/internal/analyzers/maporder"
 	"mobicache/internal/analyzers/nodeterminism"
 	"mobicache/internal/analyzers/seedflow"
@@ -22,7 +21,6 @@ func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		nodeterminism.Analyzer,
 		maporder.Analyzer,
-		kernelctx.Analyzer,
 		errchecksim.Analyzer,
 		hotalloc.Analyzer,
 		seedflow.Analyzer,

@@ -73,8 +73,8 @@ type ServerSide interface {
 }
 
 // Cache is the client buffer pool the schemes operate on. The canonical
-// implementation is the map-indexed LRU in internal/cache; the aggregate
-// client population substitutes a versioned-bitmap representation over
+// implementation is the map-indexed LRU in internal/cache; the client
+// population substitutes a versioned-bitmap representation over
 // the item-id space (internal/population.BitmapCache) with identical
 // observable semantics — same LRU order, same hit/miss/eviction
 // accounting — pinned by the population package's differential fuzz
@@ -143,7 +143,7 @@ type ClientState struct {
 	Epoch int32
 
 	// Sequence-fence state (armed only under the adversarial-delivery
-	// layer; see client.Config.FenceSeq and DESIGN.md §13). LastSeq is
+	// layer; see population.Config.FenceSeq and DESIGN.md §13). LastSeq is
 	// the broadcast sequence number of the last report processed and
 	// HasSeq whether one has been processed since the fence was last
 	// reset; the client resets the fence across disconnections, so an

@@ -25,12 +25,12 @@ import (
 // bit-identical to how they ran, so replay stays faithful); 5 = added
 // the churn block (zero value is the disabled population-churn layer,
 // which draws no randomness, so pre-v5 manifests replay unchanged);
-// 6 = added the aggregate flag (records which population representation
-// ran; the two are digest-identical by the equivalence contract, so a
-// replay on either path verifies, but the flag preserves the exact
-// execution mode — and pre-v6 manifests decode with it false, the
-// process path they ran on).
-const ManifestSchemaVersion = 6
+// 6 = added the aggregate flag (which of two client implementations ran;
+// they were digest-identical); 7 = dropped it again, since one client
+// implementation remains. A v6 file's "aggregate" key, either value, is
+// ignored on decode and the run replays on the remaining implementation,
+// which reproduces both (TestManifestV6Replays).
+const ManifestSchemaVersion = 7
 
 // Manifest is the reproducibility record of one run: every knob needed
 // to re-execute it bit-identically (scheme, workload, seed, all Config
@@ -67,7 +67,6 @@ type Manifest struct {
 	HeaderBits       int           `json:"header_bits"`
 	ConsistencyCheck bool          `json:"consistency_check"`
 	ReportLossProb   float64         `json:"report_loss_prob"`
-	Aggregate        bool            `json:"aggregate,omitempty"`
 	Faults           faults.Config   `json:"faults"`
 	Overload         overload.Config `json:"overload"`
 	Delivery         delivery.Config `json:"delivery"`
@@ -128,7 +127,6 @@ func NewManifest(r *Results) *Manifest {
 		HeaderBits:         c.HeaderBits,
 		ConsistencyCheck:   c.ConsistencyCheck,
 		ReportLossProb:     c.ReportLossProb,
-		Aggregate:          c.Aggregate,
 		Faults:             c.Faults,
 		Overload:           c.Overload,
 		Delivery:           c.Delivery,
@@ -197,7 +195,6 @@ func (m *Manifest) EngineConfig() (Config, error) {
 		HeaderBits:       m.HeaderBits,
 		ConsistencyCheck: m.ConsistencyCheck,
 		ReportLossProb:   m.ReportLossProb,
-		Aggregate:        m.Aggregate,
 		Faults:           m.Faults,
 		Overload:         m.Overload,
 		Delivery:         m.Delivery,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -119,5 +120,44 @@ func TestManifestErrors(t *testing.T) {
 	}
 	if _, err := ReadManifest(strings.NewReader("{not json")); err == nil {
 		t.Fatal("bad JSON accepted")
+	}
+}
+
+// TestManifestV6Replays: schema-v6 manifests carried an "aggregate" flag
+// naming which of two client implementations ran. Both files were
+// recorded by the simulator before the flag was dropped, one per value;
+// each must still decode and replay to its recorded digest on the one
+// remaining implementation.
+func TestManifestV6Replays(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		flag string
+	}{
+		{"testdata/manifest_v6_proc.json", `"aggregate": false`},
+		{"testdata/manifest_v6_aggregate.json", `"aggregate": true`},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			raw, err := os.ReadFile(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(raw, []byte(tc.flag)) {
+				t.Fatalf("fixture lacks %s", tc.flag)
+			}
+			m, err := ReadManifest(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.SchemaVersion != 6 {
+				t.Fatalf("schema %d, want 6", m.SchemaVersion)
+			}
+			c, err := m.EngineConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.VerifyReplay(mustRun(t, c)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

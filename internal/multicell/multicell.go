@@ -18,12 +18,17 @@ package multicell
 
 import (
 	"fmt"
+	"strings"
 
-	"mobicache/internal/client"
+	"mobicache/internal/churn"
 	"mobicache/internal/core"
 	"mobicache/internal/db"
+	"mobicache/internal/delivery"
 	"mobicache/internal/engine"
+	"mobicache/internal/faults"
 	"mobicache/internal/netsim"
+	"mobicache/internal/overload"
+	"mobicache/internal/population"
 	"mobicache/internal/report"
 	"mobicache/internal/rng"
 	"mobicache/internal/server"
@@ -49,10 +54,35 @@ func DefaultConfig() Config {
 	return Config{Base: engine.Default(), Cells: 4, MoveProb: 0.3}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, including any Base layer that
+// Run does not wire: a multi-cell run has no adversarial layers, no
+// observability taps beyond the tracer, and no warmup, so a Base that
+// asks for one is rejected rather than silently run without it.
 func (c Config) Validate() error {
 	if err := c.Base.Validate(); err != nil {
 		return err
+	}
+	b := c.Base
+	var unwired []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Faults", b.Faults != faults.Config{}},
+		{"Overload", b.Overload != overload.Config{}},
+		{"Delivery", b.Delivery != delivery.Config{}},
+		{"Churn", b.Churn != churn.Config{}},
+		{"Spans", b.Spans != nil},
+		{"Metrics", b.Metrics != nil},
+		{"Warmup", b.Warmup != 0},
+		{"ReportLossProb", b.ReportLossProb != 0},
+	} {
+		if f.set {
+			unwired = append(unwired, "Base."+f.name)
+		}
+	}
+	if len(unwired) > 0 {
+		return fmt.Errorf("multicell: %s not supported by the multi-cell run", strings.Join(unwired, ", "))
 	}
 	if c.Cells < 1 {
 		return fmt.Errorf("multicell: need at least one cell")
@@ -120,7 +150,6 @@ func Run(c Config) (*Results, error) {
 	}
 
 	k := sim.New()
-	defer k.Shutdown()
 	root := rng.New(base.Seed)
 	d := db.New(base.DBSize, base.ConsistencyCheck)
 
@@ -161,46 +190,46 @@ func Run(c Config) (*Results, error) {
 
 	// Clients, round-robin over cells, with the mobility hook.
 	moveRNG := root.Split(999)
-	where := make(map[int32]int) // client id -> cell index
-	clients := make([]*client.Client, base.Clients)
-	side := scheme.NewClient(params)
-	for i := range clients {
-		id := int32(i)
+	var pop *population.Population
+	pop = population.New(k, cells[0].up, cells[0].srv, population.Config{
+		Clients:          base.Clients,
+		Side:             scheme.NewClient(params),
+		Params:           params,
+		CacheCapacity:    base.CacheCapacity(),
+		QueryAccess:      base.Workload.Query,
+		QueryItems:       base.Workload.QueryItems,
+		MeanThink:        base.MeanThink,
+		ProbDisc:         base.ProbDisc,
+		MeanDisc:         base.MeanDisc,
+		DiscPerInterval:  base.DiscPerInterval,
+		FetchRequestBits: base.ControlMsgBits,
+		ConsistencyHook:  hook,
+		Tracer:           base.Trace,
+		OnWake: func(i int) {
+			if c.Cells < 2 || !moveRNG.Bool(c.MoveProb) {
+				return
+			}
+			old := pop.Cell(i)
+			next := moveRNG.Intn(c.Cells - 1)
+			if next >= old {
+				next++
+			}
+			cells[old].srv.Detach(int32(i))
+			cells[next].srv.Attach(pop.Handle(i))
+			pop.MoveTo(i, next)
+			res.Handoffs++
+		},
+	}, root)
+	for _, ce := range cells[1:] {
+		pop.AddCell(ce.up, ce.srv)
+	}
+	for i := 0; i < base.Clients; i++ {
 		home := i % c.Cells
-		cl := client.New(k, cells[home].up, cells[home].srv, client.Config{
-			ID:               id,
-			Side:             side,
-			Params:           params,
-			CacheCapacity:    base.CacheCapacity(),
-			QueryAccess:      base.Workload.Query,
-			QueryItems:       base.Workload.QueryItems,
-			MeanThink:        base.MeanThink,
-			ProbDisc:         base.ProbDisc,
-			MeanDisc:         base.MeanDisc,
-			DiscPerInterval:  base.DiscPerInterval,
-			FetchRequestBits: base.ControlMsgBits,
-			ConsistencyHook:  hook,
-			Tracer:           base.Trace,
-			OnWake: func(cl *client.Client) {
-				if c.Cells < 2 || !moveRNG.Bool(c.MoveProb) {
-					return
-				}
-				old := where[cl.ID()]
-				next := moveRNG.Intn(c.Cells - 1)
-				if next >= old {
-					next++
-				}
-				cells[old].srv.Detach(cl.ID())
-				cells[next].srv.Attach(cl)
-				cl.Reattach(cells[next].up, cells[next].srv)
-				where[cl.ID()] = next
-				res.Handoffs++
-			},
-		}, root.Split(1000+uint64(i)))
-		clients[i] = cl
-		where[id] = home
-		cells[home].srv.Attach(cl)
-		cl.Start()
+		if home != 0 {
+			pop.MoveTo(i, home)
+		}
+		cells[home].srv.Attach(pop.Handle(i))
+		pop.StartClient(i)
 	}
 	cells[0].srv.StartUpdates()
 	for _, ce := range cells {
@@ -211,15 +240,16 @@ func Run(c Config) (*Results, error) {
 
 	var resp stats.Tally
 	var hits, misses int64
-	for _, cl := range clients {
-		res.QueriesAnswered += cl.QueriesAnswered
-		res.UplinkBitsPerQuery += cl.ValidationUplinkBits
-		hits += cl.State().Cache.Hits()
-		misses += cl.State().Cache.Misses()
-		res.Drops += cl.State().Drops
-		res.Salvages += cl.State().Salvages
-		if cl.RespTime.N() > 0 {
-			resp.Observe(cl.RespTime.Mean())
+	for i := 0; i < base.Clients; i++ {
+		cnt, st := pop.Count(i), pop.State(i)
+		res.QueriesAnswered += cnt.QueriesAnswered
+		res.UplinkBitsPerQuery += cnt.ValidationUplinkBits
+		hits += st.Cache.Hits()
+		misses += st.Cache.Misses()
+		res.Drops += st.Drops
+		res.Salvages += st.Salvages
+		if cnt.RespTime.N() > 0 {
+			resp.Observe(cnt.RespTime.Mean())
 		}
 	}
 	if res.QueriesAnswered > 0 {
@@ -241,8 +271,8 @@ func Run(c Config) (*Results, error) {
 	}
 	// Per-cell query attribution: clients move, so attribute by final
 	// residence (a simple, documented choice).
-	for id, ci := range where {
-		res.PerCell[ci].QueriesAnswered += clients[id].QueriesAnswered
+	for i := 0; i < base.Clients; i++ {
+		res.PerCell[pop.Cell(i)].QueriesAnswered += pop.Count(i).QueriesAnswered
 	}
 	return res, nil
 }

@@ -1,9 +1,15 @@
 package multicell
 
 import (
+	"strings"
 	"testing"
 
+	"mobicache/internal/churn"
+	"mobicache/internal/delivery"
 	"mobicache/internal/engine"
+	"mobicache/internal/faults"
+	"mobicache/internal/metrics"
+	"mobicache/internal/overload"
 )
 
 func shortConfig() Config {
@@ -135,5 +141,43 @@ func TestMulticellMobilityCostsAdaptivesLittle(t *testing.T) {
 	}
 	if r.Salvages == 0 {
 		t.Fatal("aaw never salvaged across handoffs")
+	}
+}
+
+// TestMulticellValidateRejectsUnwiredLayers: Run wires none of these
+// Base fields, so each must be refused by name instead of running
+// without its layer. Every row keeps Base valid on its own.
+func TestMulticellValidateRejectsUnwiredLayers(t *testing.T) {
+	retry := faults.RetryPolicy{Timeout: 240, Backoff: 2, MaxDelay: 1920, Jitter: 0.2, MaxAttempts: 6}
+	for _, row := range []struct {
+		field string
+		set   func(*engine.Config)
+	}{
+		{"Faults", func(b *engine.Config) { b.Faults.CrashMTBF, b.Faults.CrashMTTR = 2000, 100 }},
+		{"Overload", func(b *engine.Config) { b.Overload = overload.Config{QueryDeadline: 80} }},
+		{"Delivery", func(b *engine.Config) { b.Delivery = delivery.Severity(1); b.Overload.QueryDeadline = 80 }},
+		{"Churn", func(b *engine.Config) { b.Churn = churn.Severity(1); b.Faults.Retry = retry }},
+		{"Spans", func(b *engine.Config) { b.Spans = &engine.SpanOptions{} }},
+		{"Metrics", func(b *engine.Config) { b.Metrics = metrics.New() }},
+		{"Warmup", func(b *engine.Config) { b.Warmup = 100 }},
+		{"ReportLossProb", func(b *engine.Config) { b.ReportLossProb = 0.1 }},
+	} {
+		t.Run(row.field, func(t *testing.T) {
+			c := shortConfig()
+			row.set(&c.Base)
+			if err := c.Base.Validate(); err != nil {
+				t.Fatalf("row's Base is invalid on its own: %v", err)
+			}
+			err := c.Validate()
+			if err == nil || !strings.Contains(err.Error(), "Base."+row.field) {
+				t.Fatalf("Validate = %v, want an error naming Base.%s", err, row.field)
+			}
+			if _, err := Run(c); err == nil {
+				t.Fatal("Run accepted the config")
+			}
+		})
+	}
+	if err := shortConfig().Validate(); err != nil {
+		t.Fatalf("plain multi-cell config rejected: %v", err)
 	}
 }

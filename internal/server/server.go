@@ -99,7 +99,12 @@ type Server struct {
 	rcv  map[int32]Receiver
 	all  []Receiver
 
-	updRNG *rng.Source
+	updRNG     *rng.Source
+	updScratch []int32 // update transaction's item ids, reused
+
+	// irPeriods counts broadcast periods elapsed: the broadcast event
+	// due at t = irPeriods·L.
+	irPeriods int64
 
 	// Admission-control state (used only when PendingCap or Coalesce is
 	// set): the pending-fetch table keyed by item id, and its population.
@@ -210,8 +215,11 @@ func (s *Server) ResetStats() {
 	s.RepliesShed = 0
 }
 
-// Start launches the update and broadcast processes, plus the
-// crash/restart process when fault injection is configured.
+// Start launches the update and broadcast loops, plus the crash/restart
+// loop when fault injection is configured. Each loop is a chain of kernel
+// events opened by one zero-delay start event, so the loops' first draws
+// and schedules happen when the kernel reaches that event, after the
+// current event completes.
 func (s *Server) Start() {
 	s.StartUpdates()
 	s.StartBroadcast()
@@ -219,7 +227,7 @@ func (s *Server) Start() {
 		if s.cfg.CrashRNG == nil {
 			panic("server: CrashMTBF set without CrashRNG")
 		}
-		s.k.Go("server-crashes", s.crashLoop)
+		s.k.Schedule(0, s.scheduleCrash)
 	}
 }
 
@@ -260,132 +268,144 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 // Epoch reports the current recovery epoch (0 until the first crash).
 func (s *Server) Epoch() int32 { return s.epoch }
 
-// crashLoop alternates exponential up-times and outages. A crash loses
-// every piece of in-memory protocol state — the scheme's history window
-// is implicit in the durable database, so its loss is modeled by the
-// recovery marker truncating post-restart reports (report.ApplyRecovery);
-// explicitly held state (pending feedback, incremental signatures) is
-// cleared through core.CrashRecoverable.
-func (s *Server) crashLoop(p *sim.Proc) {
-	for {
-		p.Hold(s.cfg.CrashRNG.Exp(s.cfg.CrashMTBF))
-		now := p.Now()
-		s.isDown = true
-		s.crashedAt = now
-		s.epoch++
-		s.Crashes++
-		if cr, ok := s.cfg.Scheme.(core.CrashRecoverable); ok {
-			cr.OnServerCrash()
-		}
-		// The pending-fetch table is in-memory protocol state: a crash
-		// loses it. Transmissions already on the downlink still complete
-		// (the channel is not the server), but their epoch-stamped
-		// completions no longer touch the new epoch's population count.
-		clear(s.pending)
-		s.pendingN = 0
-		s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerCrash,
-			Client: -1, B: int64(s.epoch)})
-		p.Hold(s.cfg.CrashRNG.Exp(s.cfg.CrashMTTR))
-		now = p.Now()
-		s.isDown = false
-		s.trustFloor = now
-		s.awaitingIR = true
-		s.Downtime += now - s.crashedAt
-		s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerRestart,
-			Client: -1, B: int64(s.epoch)})
-	}
+// scheduleCrash arms the next crash after an exponential up-time; crash
+// and restart alternate from there. A crash loses every piece of
+// in-memory protocol state — the scheme's history window is implicit in
+// the durable database, so its loss is modeled by the recovery marker
+// truncating post-restart reports (report.ApplyRecovery); explicitly
+// held state (pending feedback, incremental signatures) is cleared
+// through core.CrashRecoverable.
+func (s *Server) scheduleCrash() {
+	s.k.Schedule(s.cfg.CrashRNG.Exp(s.cfg.CrashMTBF), s.crash)
 }
 
-// StartUpdates launches only the update process. In a multi-cell setup
-// the database is logically replicated: exactly one server applies the
+func (s *Server) crash() {
+	now := s.k.Now()
+	s.isDown = true
+	s.crashedAt = now
+	s.epoch++
+	s.Crashes++
+	if cr, ok := s.cfg.Scheme.(core.CrashRecoverable); ok {
+		cr.OnServerCrash()
+	}
+	// The pending-fetch table is in-memory protocol state: a crash loses
+	// it. Transmissions already on the downlink still complete (the
+	// channel is not the server), but their epoch-stamped completions no
+	// longer touch the new epoch's population count.
+	clear(s.pending)
+	s.pendingN = 0
+	s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerCrash,
+		Client: -1, B: int64(s.epoch)})
+	s.k.Schedule(s.cfg.CrashRNG.Exp(s.cfg.CrashMTTR), s.restart)
+}
+
+func (s *Server) restart() {
+	now := s.k.Now()
+	s.isDown = false
+	s.trustFloor = now
+	s.awaitingIR = true
+	s.Downtime += now - s.crashedAt
+	s.cfg.Tracer.Record(trace.Event{T: now, Kind: trace.ServerRestart,
+		Client: -1, B: int64(s.epoch)})
+	s.scheduleCrash()
+}
+
+// StartUpdates launches only the update loop. In a multi-cell setup the
+// database is logically replicated: exactly one server applies the
 // update stream to the shared database and every cell broadcasts from it.
 func (s *Server) StartUpdates() {
-	s.k.Go("server-updates", s.updateLoop)
+	s.k.Schedule(0, s.scheduleUpdate)
 }
 
-// StartBroadcast launches only the periodic report broadcaster.
+// StartBroadcast launches only the periodic report broadcaster: its
+// start event arms the first broadcast at t = L.
 func (s *Server) StartBroadcast() {
-	s.k.Go("server-broadcast", s.broadcastLoop)
+	s.k.Schedule(0, func() { s.k.At(s.cfg.Params.L, s.broadcast) })
 }
 
-// updateLoop applies update transactions separated by exponential
-// interarrival times (paper §4).
-func (s *Server) updateLoop(p *sim.Proc) {
-	var scratch []int32
-	for {
-		p.Hold(s.updRNG.Exp(s.cfg.MeanUpdateInterarrival))
-		k := s.cfg.UpdateItems.Draw(s.updRNG)
-		scratch = s.cfg.UpdateAccess.Sample(s.updRNG, k, scratch[:0])
-		now := p.Now()
-		for _, id := range scratch {
-			s.db.Update(id, now)
-		}
+// scheduleUpdate arms the next update transaction after an exponential
+// interarrival time (paper §4).
+func (s *Server) scheduleUpdate() {
+	s.k.Schedule(s.updRNG.Exp(s.cfg.MeanUpdateInterarrival), s.update)
+}
+
+func (s *Server) update() {
+	k := s.cfg.UpdateItems.Draw(s.updRNG)
+	s.updScratch = s.cfg.UpdateAccess.Sample(s.updRNG, k, s.updScratch[:0])
+	now := s.k.Now()
+	for _, id := range s.updScratch {
+		s.db.Update(id, now)
 	}
+	s.scheduleUpdate()
 }
 
-// broadcastLoop emits one invalidation report at every multiple of L.
-// The report class preempts the downlink, so transmission always begins
-// exactly on the period boundary (paper §4's priority rule).
-func (s *Server) broadcastLoop(p *sim.Proc) {
-	for i := int64(1); ; i++ {
-		t := float64(i) * s.cfg.Params.L
-		p.HoldUntil(t)
-		if s.isDown {
-			// A dead server broadcasts nothing; clients see a silent
-			// period boundary exactly as if the report were lost.
-			continue
-		}
-		if s.lastIRDone > t {
-			// The previous report is still being transmitted: the channel
-			// cannot start this one on time. Count it; the facility will
-			// queue it FIFO behind its predecessor.
-			s.IROverruns++
-		}
-		r := s.cfg.Scheme.BuildReport(s.db, t)
-		// Every report carries a monotonically increasing broadcast
-		// sequence number in its frame header; clients fence on it to
-		// detect gaps, duplicates, and reorders (DESIGN.md §13). A plain
-		// counter — no randomness, no events — so it is always on.
-		s.irSeq++
-		report.SetSeq(r, s.irSeq)
-		if s.epoch > 0 {
-			// Every report after the first crash announces the current
-			// epoch and trust floor; ApplyRecovery also censors any
-			// history claims reaching below the floor.
-			report.ApplyRecovery(r, report.RecoveryMarker{Epoch: s.epoch, TrustFloor: s.trustFloor})
-		}
-		if s.awaitingIR {
-			s.awaitingIR = false
-			s.RecoveryLatency.Observe(t - s.crashedAt)
-		}
-		bits := float64(r.SizeBits(s.cfg.Params.Rep))
-		kind := r.Kind()
-		s.ReportsSent[kind]++
-		s.ReportBits[kind] += bits
-		s.broadcasts++
-		s.lastKind = kind
-		s.lastBits = bits
-		if tsr, ok := r.(*report.TSReport); ok {
-			// The report's own window start is authoritative: for AAW's
-			// enlarged reports it reaches back to the oldest requesting
-			// Tlb, so this is exactly the adjusted window w' of Figure 4.
-			s.lastW = (t - tsr.WindowStart) / s.cfg.Params.L
-		} else {
-			s.lastW = 0
-		}
-		s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ReportBroadcast,
-			Client: -1, A: int64(kind), B: int64(bits)})
-		s.lastIRDone = t + s.down.TxTime(bits)
-		//lint:allow errcheck-sim the report class is exempt from bounded-queue admission and is never shed
-		s.down.Send(netsim.ClassReport, bits, func() {
-			now := s.k.Now()
-			for _, rc := range s.all {
-				if rc.Connected() {
-					rc.DeliverReport(r, now)
-				}
+// broadcast emits the invalidation report due now, at a multiple of L,
+// and arms the next one. The report class preempts the downlink, so
+// transmission always begins exactly on the period boundary (paper §4's
+// priority rule).
+func (s *Server) broadcast() {
+	s.irPeriods++
+	t := float64(s.irPeriods) * s.cfg.Params.L
+	s.emitReport(t)
+	s.k.At(float64(s.irPeriods+1)*s.cfg.Params.L, s.broadcast)
+}
+
+func (s *Server) emitReport(t float64) {
+	if s.isDown {
+		// A dead server broadcasts nothing; clients see a silent period
+		// boundary exactly as if the report were lost.
+		return
+	}
+	if s.lastIRDone > t {
+		// The previous report is still being transmitted: the channel
+		// cannot start this one on time. Count it; the facility will
+		// queue it FIFO behind its predecessor.
+		s.IROverruns++
+	}
+	r := s.cfg.Scheme.BuildReport(s.db, t)
+	// Every report carries a monotonically increasing broadcast
+	// sequence number in its frame header; clients fence on it to
+	// detect gaps, duplicates, and reorders (DESIGN.md §13). A plain
+	// counter — no randomness, no events — so it is always on.
+	s.irSeq++
+	report.SetSeq(r, s.irSeq)
+	if s.epoch > 0 {
+		// Every report after the first crash announces the current
+		// epoch and trust floor; ApplyRecovery also censors any
+		// history claims reaching below the floor.
+		report.ApplyRecovery(r, report.RecoveryMarker{Epoch: s.epoch, TrustFloor: s.trustFloor})
+	}
+	if s.awaitingIR {
+		s.awaitingIR = false
+		s.RecoveryLatency.Observe(t - s.crashedAt)
+	}
+	bits := float64(r.SizeBits(s.cfg.Params.Rep))
+	kind := r.Kind()
+	s.ReportsSent[kind]++
+	s.ReportBits[kind] += bits
+	s.broadcasts++
+	s.lastKind = kind
+	s.lastBits = bits
+	if tsr, ok := r.(*report.TSReport); ok {
+		// The report's own window start is authoritative: for AAW's
+		// enlarged reports it reaches back to the oldest requesting
+		// Tlb, so this is exactly the adjusted window w' of Figure 4.
+		s.lastW = (t - tsr.WindowStart) / s.cfg.Params.L
+	} else {
+		s.lastW = 0
+	}
+	s.cfg.Tracer.Record(trace.Event{T: t, Kind: trace.ReportBroadcast,
+		Client: -1, A: int64(kind), B: int64(bits)})
+	s.lastIRDone = t + s.down.TxTime(bits)
+	//lint:allow errcheck-sim the report class is exempt from bounded-queue admission and is never shed
+	s.down.Send(netsim.ClassReport, bits, func() {
+		now := s.k.Now()
+		for _, rc := range s.all {
+			if rc.Connected() {
+				rc.DeliverReport(r, now)
 			}
-		})
-	}
+		}
+	})
 }
 
 // OnControl is the uplink endpoint for validation messages; the channel

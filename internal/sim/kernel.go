@@ -1,22 +1,19 @@
-// Package sim is a deterministic discrete-event simulation kernel with
-// CSIM-style process semantics, standing in for the CSIM package the
-// paper's evaluation was built on.
+// Package sim is a deterministic discrete-event simulation kernel,
+// standing in for the CSIM package the paper's evaluation was built on.
 //
 // The kernel keeps an event calendar (a binary heap ordered by time and
 // then by scheduling sequence, so simultaneous events fire in the order
-// they were scheduled). Model logic can be written either as plain event
-// callbacks or as processes: goroutines that block in Hold and Wait calls
-// while the kernel runs exactly one of them at a time, handing control
-// back and forth over unbuffered channels. Because at most one goroutine
-// is ever runnable, execution is sequential and fully deterministic even
-// though the model code reads like straight-line concurrent Go.
+// they were scheduled). Model logic is plain event callbacks, run one at
+// a time on the caller's goroutine: a long-lived activity (a client's
+// query loop, the server's broadcast cycle) is a chain of events, each
+// scheduling its successor, so execution is sequential and fully
+// deterministic.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Time is simulated time in seconds.
@@ -91,10 +88,9 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// Kernel is the simulation executive. Create one with New, schedule events
-// or start processes, then call Run. A Kernel is single-threaded: all
-// model code runs on the kernel's goroutine or on exactly one process
-// goroutine at a time.
+// Kernel is the simulation executive. Create one with New, schedule
+// events, then call Run. A Kernel is single-threaded: all model code runs
+// on the goroutine that calls Run.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -105,33 +101,12 @@ type Kernel struct {
 	// what makes parallel sweeps scale instead of serialising in the GC.
 	free []*event
 
-	// yield is the handoff channel processes use to return control to the
-	// kernel; see Proc.
-	yield chan struct{}
-	// kill, when closed by Shutdown, unblocks every parked process
-	// goroutine so finished simulations do not leak goroutines.
-	kill chan struct{}
-
-	procs      atomic.Int64 // live processes, for leak diagnostics
 	executed   uint64
 	maxPending int
 }
 
 // New creates an empty kernel at time 0.
-func New() *Kernel {
-	return &Kernel{yield: make(chan struct{}), kill: make(chan struct{})}
-}
-
-// Shutdown releases all parked process goroutines. Call it once after the
-// final Run; the kernel must not be used afterwards.
-func (k *Kernel) Shutdown() {
-	select {
-	case <-k.kill:
-		return // already shut down
-	default:
-	}
-	close(k.kill)
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }

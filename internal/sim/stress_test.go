@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"testing"
-	"time"
-)
+import "testing"
 
 // stressRand is a tiny deterministic LCG so the stress schedule is
 // identical on every run (internal/rng would be an import cycle here).
@@ -17,125 +13,66 @@ func (r *stressRand) next() uint64 {
 
 func (r *stressRand) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// waitProcsDrained polls until every process goroutine has exited; under
-// -race this also gives the race detector a window to flag any unsynced
-// access between the kernel and process goroutines.
-func waitProcsDrained(t *testing.T, k *Kernel) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for k.Procs() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d process goroutines still live after shutdown", k.Procs())
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestKernelStressManyProcs drives a few hundred interleaved processes —
-// holding, waiting on shared signals, broadcasting, spawning children and
-// cancelling events — to completion. Run under -race this proves the
-// strict channel-handoff design never lets two model goroutines touch
-// kernel state concurrently: every counter below is plain (unsynchronized)
-// shared state that only the handoff discipline protects.
-func TestKernelStressManyProcs(t *testing.T) {
+// TestKernelStressManyChains drives a few hundred interleaved event
+// chains — each step holding for a random delay, spawning child chains,
+// or arming a timer and cancelling it before it fires — to completion.
+// Cancelled timers recycle their events through the freelist while
+// their handles stay outstanding, so a stale Cancel hitting a recycled
+// event would cancel some chain's step and leave it incomplete.
+func TestKernelStressManyChains(t *testing.T) {
 	k := New()
-	sigs := []*Signal{NewSignal(k), NewSignal(k), NewSignal(k)}
 	rnd := stressRand(1)
-
-	var (
-		completed int
-		wakeups   int
-		spawned   int
-	)
-	var body func(depth int) func(p *Proc)
-	body = func(depth int) func(p *Proc) {
-		return func(p *Proc) {
-			for i := 0; i < 20; i++ {
-				switch rnd.intn(4) {
-				case 0:
-					p.Hold(Time(rnd.intn(50)) / 10)
-				case 1:
-					s := sigs[rnd.intn(len(sigs))]
-					// Guarantee a wakeup for this waiter before parking.
-					p.Kernel().Schedule(Time(rnd.intn(30))/10+0.1, func() { s.Broadcast() })
-					p.Wait(s)
-					wakeups++
-				case 2:
-					if depth < 2 {
-						spawned++
-						k.Go("child", body(depth+1))
-					}
-					p.Hold(0.1)
-				case 3:
-					e := k.Schedule(5, func() {})
-					p.Hold(0.05)
-					k.Cancel(e)
-				}
+	var completed, spawned, cancelled int
+	var stale []Handle
+	var chain func(depth int)
+	chain = func(depth int) {
+		steps := 0
+		var step func()
+		step = func() {
+			// Re-cancel every handle already cancelled: all are stale now.
+			for _, h := range stale {
+				k.Cancel(h)
 			}
-			completed++
+			if steps++; steps > 20 {
+				completed++
+				return
+			}
+			switch rnd.intn(3) {
+			case 0:
+				k.Schedule(Time(rnd.intn(50))/10, step)
+			case 1:
+				if depth < 2 {
+					spawned++
+					chain(depth + 1)
+				}
+				k.Schedule(0.1, step)
+			case 2:
+				e := k.Schedule(5, func() { t.Error("cancelled timer fired") })
+				k.Schedule(0.05, func() {
+					k.Cancel(e)
+					cancelled++
+					if len(stale) < 64 {
+						stale = append(stale, e)
+					}
+					step()
+				})
+			}
 		}
+		k.Schedule(0, step)
 	}
-	const root = 200
-	for i := 0; i < root; i++ {
-		k.Go("root", body(0))
+	const roots = 200
+	for i := 0; i < roots; i++ {
+		chain(0)
 	}
 	k.Run(EndOfTime)
-	k.Shutdown()
-	waitProcsDrained(t, k)
 
-	if completed != root+spawned {
-		t.Fatalf("completed = %d, want %d roots + %d spawned", completed, root, spawned)
+	if completed != roots+spawned {
+		t.Fatalf("completed = %d, want %d roots + %d spawned", completed, roots, spawned)
 	}
-	if wakeups == 0 {
-		t.Fatal("stress schedule never exercised Wait/Broadcast")
+	if cancelled == 0 || spawned == 0 {
+		t.Fatalf("stress schedule never exercised cancel (%d) or spawn (%d)", cancelled, spawned)
 	}
-}
-
-// TestKernelTeardownMidRun kills the kernel while processes are parked
-// mid-simulation and verifies every goroutine exits (no leaks, no
-// deadlock) — the disconnection-heavy workloads tear kernels down like
-// this between replications.
-func TestKernelTeardownMidRun(t *testing.T) {
-	for trial := 0; trial < 25; trial++ {
-		k := New()
-		s := NewSignal(k)
-		for i := 0; i < 40; i++ {
-			i := i
-			k.Go("worker", func(p *Proc) {
-				for {
-					if i%3 == 0 {
-						p.Wait(s) // parked forever unless signalled
-					} else {
-						p.Hold(Time(i%7) + 1)
-					}
-				}
-			})
-		}
-		k.Schedule(3, func() { s.Broadcast() })
-		// Stop in the middle: plenty of events remain and most procs are
-		// parked in Hold or Wait.
-		k.Run(Time(5 + trial))
-		if k.Pending() == 0 {
-			t.Fatalf("trial %d: stress scenario ended early, nothing pending", trial)
-		}
-		k.Shutdown()
-		waitProcsDrained(t, k)
-	}
-}
-
-// TestShutdownDuringSpawn shuts down immediately after spawning, before
-// the activation events ever run, so processes die without executing
-// their bodies.
-func TestShutdownDuringSpawn(t *testing.T) {
-	k := New()
-	ran := 0
-	for i := 0; i < 64; i++ {
-		k.Go("unstarted", func(p *Proc) { ran++ })
-	}
-	k.Shutdown()
-	waitProcsDrained(t, k)
-	if ran != 0 {
-		t.Fatalf("%d process bodies ran without the kernel", ran)
+	if k.Pending() != 0 {
+		t.Fatalf("%d events left on the calendar", k.Pending())
 	}
 }
