@@ -35,10 +35,12 @@ lint: mobilint
 lint-baseline: mobilint
 	$(MOBILINT) -write-baseline lint.baseline.json ./...
 
-# Short native-fuzz runs: the invalidation-report codec and the workload
-# name parser (manifest round-trip property).
+# Short native-fuzz runs: the invalidation-report codec, the
+# bit-sequences structure against its reference algorithms, and the
+# workload name parser (manifest round-trip property).
 fuzz-smoke:
 	$(GO) test -run Fuzz -fuzz='Fuzz.*IR' -fuzztime=10s ./internal/core
+	$(GO) test -run Fuzz -fuzz=FuzzBitseq -fuzztime=10s ./internal/bitseq
 	$(GO) test -run Fuzz -fuzz=FuzzWorkloadParse -fuzztime=10s ./internal/workload
 	$(GO) test -run Fuzz -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/churn
 

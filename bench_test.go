@@ -13,6 +13,7 @@ import (
 	"mobicache/internal/bitio"
 	"mobicache/internal/bitseq"
 	"mobicache/internal/cache"
+	"mobicache/internal/core"
 	"mobicache/internal/db"
 	"mobicache/internal/delivery"
 	"mobicache/internal/engine"
@@ -191,6 +192,31 @@ func BenchmarkBitseqEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.Reset()
 		st.Encode(w)
+	}
+}
+
+// BenchmarkApplyBS is one client applying a bit-sequences report it
+// slept through: a 200-slot cache (2% of a 10000-item database) against
+// the top level, which marks about half the cached items. Each iteration
+// first puts the invalidated items back, which costs a Peek per slot.
+func BenchmarkApplyBS(b *testing.B) {
+	const n, capacity = 10000, 200
+	st := bitseq.Build(n, makeUpdatedDB(n, n))
+	br := &report.BSReport{T: st.TS0 + 1, S: st}
+	c := cache.New(capacity)
+	ids := rng.New(13).SampleDistinct(n, capacity, nil)
+	cs := &core.ClientState{Cache: c}
+	client := core.BS().NewClient(core.DefaultParams(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, id := range ids {
+			if _, ok := c.Peek(id); !ok {
+				c.Put(id, 0, 1)
+			}
+		}
+		cs.Tlb = st.Seqs[0].TS
+		client.HandleReport(cs, br, br.T)
 	}
 }
 

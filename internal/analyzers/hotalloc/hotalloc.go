@@ -37,8 +37,8 @@ import (
 // "Type.Method" or plain "Func". These are the paths whose allocs/op the
 // benchmark suite asserts to be zero (BenchmarkKernelEventThroughput,
 // BenchmarkKernelScheduleCancel, BenchmarkChannelBoundedShed, BenchmarkDeliveryLinkDeliver,
-// BenchmarkChurnStormTick) plus the per-event instruments and the pooled
-// bit writers that ride inside them.
+// BenchmarkChurnStormTick, TestApplyBSAllocs) plus the per-event
+// instruments and the pooled bit writers that ride inside them.
 var knownHot = map[string][]string{
 	"internal/sim": {
 		"Kernel.Schedule", "Kernel.At", "Kernel.Cancel", "Kernel.Step",
@@ -52,6 +52,10 @@ var knownHot = map[string][]string{
 		"Writer.WriteBits", "Writer.WriteBool", "Writer.WriteFloat",
 		"Reader.ReadBits", "Reader.ReadBool", "Reader.ReadFloat",
 	},
+	// TestApplyBSAllocs asserts that a client applying a bit-sequences
+	// report is 0 allocs/op.
+	"internal/core":   {"applyBS"},
+	"internal/bitseq": {"Structure.Level", "Structure.Marked"},
 	"internal/churn": {
 		"Adversary.stormTick", "Adversary.snapshot", "EncodeSnapshot",
 	},

@@ -22,7 +22,9 @@
 package bitseq
 
 import (
-	"sort"
+	"errors"
+	"fmt"
+	"math/bits"
 
 	"mobicache/internal/bitio"
 )
@@ -41,19 +43,17 @@ type Sequence struct {
 
 func (s *Sequence) get(i int) bool { return s.Bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-func (s *Sequence) set(i int) {
-	w := i >> 6
-	mask := uint64(1) << (uint(i) & 63)
-	if s.Bits[w]&mask == 0 {
-		s.Bits[w] |= mask
-		s.Ones++
-	}
-}
-
 // Get reports bit i of the sequence (exported for tests and tools).
 func (s *Sequence) Get(i int) bool { return s.get(i) }
 
 // Structure is a complete bit-sequences report payload.
+//
+// Build and Decode are its constructors: a Structure assembled by hand
+// can be encoded, but it lacks the index that Level, Marked, Locate and
+// IDsAtLevel read. A Structure is immutable once Build or Decode returns
+// it. One broadcast report is shared by every client that hears it, so
+// clients read it concurrently and without locks; callers must not
+// modify Seqs.
 type Structure struct {
 	// N is the database size (bits in the top sequence).
 	N int
@@ -63,6 +63,13 @@ type Structure struct {
 	// TS0 is the dummy B_0 timestamp: the most recent update time, or
 	// negative if the database was never updated.
 	TS0 float64
+
+	// depth is the mark-depth index: depth[id] is the number of levels
+	// that mark item id. The marked sets are nested, so id is marked at
+	// level l exactly when depth[id] > l. Build and Decode fill it once;
+	// it is what lets a client test its own cached ids against a level
+	// instead of expanding the level into an id list.
+	depth []uint8
 }
 
 // Levels reports the number of bit sequences (excluding the dummy B_0).
@@ -71,6 +78,11 @@ func (s *Structure) Levels() int { return len(s.Seqs) }
 // Epoch is the timestamp meaning "before every update". Simulated time is
 // non-negative, so -1 sorts before all real update times.
 const Epoch = -1.0
+
+// ErrLevelOverflow is returned by Decode for a frame in which some level
+// marks more items than the next level has bits. Such a frame cannot come
+// from Build, and its marks would address bits past the next level's end.
+var ErrLevelOverflow = errors.New("bitseq: level marks more items than the next level has bits")
 
 // UpdateSource abstracts the server database view the builder needs:
 // distinct items in most-recent-update-first order.
@@ -82,9 +94,26 @@ type UpdateSource interface {
 	NewestUpdateTime() float64
 }
 
-type rec struct {
-	id int32
-	ts float64
+// newLevels allocates the empty sequences of an n-item database, with
+// sizes n, n/2, ..., down to 2 and epoch timestamps.
+func newLevels(n int) []Sequence {
+	var seqs []Sequence
+	for size := n; size >= 2; size /= 2 {
+		seqs = append(seqs, Sequence{TS: Epoch, Len: size, Bits: make([]uint64, (size+63)/64)})
+	}
+	return seqs
+}
+
+// SizeBits is the analytic size in bits of the structure for an n-item
+// database with tsBits-bit timestamps: the sum of all sequence lengths
+// plus one timestamp per sequence including the dummy B_0, matching the
+// paper's 2N + bT*log2(N) formula.
+func SizeBits(n, tsBits int) int {
+	total := tsBits // TS(B0)
+	for size := n; size >= 2; size /= 2 {
+		total += size + tsBits
+	}
+	return total
 }
 
 // Build constructs the structure for an n-item database (n >= 2) from src.
@@ -92,69 +121,43 @@ func Build(n int, src UpdateSource) *Structure {
 	if n < 2 {
 		panic("bitseq: database too small")
 	}
-	st := &Structure{N: n}
+	st := &Structure{N: n, TS0: Epoch, Seqs: newLevels(n), depth: make([]uint8, n)}
 	if t := src.NewestUpdateTime(); t >= 0 {
 		st.TS0 = t
-	} else {
-		st.TS0 = Epoch
 	}
 
-	// Collect one item beyond the top level's mark capacity: the extra
-	// item's update time is TS(B_n) when the level is full.
-	capTop := n / 2
-	items := make([]rec, 0, capTop+1)
-	src.MostRecent(capTop+1, func(id int32, ts float64) bool {
-		items = append(items, rec{id, ts})
+	// Level l marks the min(Len/2, available) most recent items, so the
+	// item of recency rank r is marked on exactly the levels whose
+	// capacity Len/2 exceeds r. TS(B_l) is the update time of the item of
+	// rank Len/2, the most recent one the level leaves unmarked, or the
+	// epoch when fewer items were ever updated. Capacities shrink with
+	// depth, so the mark depth only drops as the rank grows, and one item
+	// beyond the top level's capacity is enough to stamp TS(B_n).
+	d, r := len(st.Seqs), 0
+	src.MostRecent(n/2+1, func(id int32, ts float64) bool {
+		for d > 0 && st.Seqs[d-1].Len/2 <= r {
+			d--
+			st.Seqs[d].TS = ts
+		}
+		st.depth[id] = uint8(d)
+		r++
 		return true
 	})
-	avail := len(items)
-	if avail > capTop {
-		avail = capTop // items[capTop], if present, exists only for TS(B_n)
-	}
 
-	// Level sizes: n, n/2, ..., down to 2. Level l marks the
-	// min(size/2, avail) most recent items; the marked sets are nested.
-	sizes := []int{n}
-	for sz := n / 2; sz >= 2; sz /= 2 {
-		sizes = append(sizes, sz)
-	}
-	st.Seqs = make([]Sequence, len(sizes))
-	marks := make([]int, len(sizes))
-	for l, size := range sizes {
-		st.Seqs[l].Len = size
-		st.Seqs[l].Bits = make([]uint64, (size+63)/64)
-		m := size / 2
-		if m > avail {
-			m = avail
-		}
-		marks[l] = m
-		// TS(B_l): the update time of the (m+1)-th most recent item, or
-		// the epoch when every ever-updated item is marked.
-		if m < len(items) {
-			st.Seqs[l].TS = items[m].ts
-		} else {
-			st.Seqs[l].TS = Epoch
+	// Set the level bits in id order. An item's bit position at level 0
+	// is its id; at level l+1 it is its rank, in id order, among the items
+	// marked at level l, which next[l] counts.
+	var next [64]int
+	for id, depth := range st.depth {
+		pos := id
+		for l := 0; l < int(depth); l++ {
+			st.Seqs[l].Bits[pos>>6] |= 1 << (uint(pos) & 63)
+			pos = next[l]
+			next[l]++
 		}
 	}
-
-	// Assign bits in id order. An item of recency rank r is marked at
-	// level l iff r < marks[l]; nested marks mean each item is marked on
-	// a prefix of levels. Its bit position at level 0 is its id; at level
-	// l+1 it is its rank (in id order) among items marked at level l.
-	ranks := make([]int, 0, avail) // recency ranks, sorted by item id
-	for r := 0; r < avail; r++ {
-		ranks = append(ranks, r)
-	}
-	sort.Slice(ranks, func(i, j int) bool { return items[ranks[i]].id < items[ranks[j]].id })
-
-	counters := make([]int, len(sizes))
-	for _, r := range ranks {
-		pos := int(items[r].id)
-		for l := 0; l < len(sizes) && r < marks[l]; l++ {
-			st.Seqs[l].set(pos)
-			pos = counters[l]
-			counters[l]++
-		}
+	for l := range st.Seqs {
+		st.Seqs[l].Ones = next[l]
 	}
 	return st
 }
@@ -186,15 +189,19 @@ func (a Action) String() string {
 	}
 }
 
-// Locate implements the client-side BS algorithm (paper Figure 2): given
-// the client's last-report timestamp tlb, it returns the action and, for
-// InvalidateSet, dst extended with the ids to invalidate.
-func (s *Structure) Locate(tlb float64, dst []int32) (Action, []int32) {
+// Level implements the decision of the client-side BS algorithm (paper
+// Figure 2) without building the id list: given the client's last-report
+// timestamp tlb, it returns the action and, for InvalidateSet, the level
+// whose marked items the client must discard (test them with Marked). The
+// level is -1 for the other actions.
+//
+//hot — every client that hears a bit-sequences report calls it.
+func (s *Structure) Level(tlb float64) (Action, int) {
 	if s.TS0 <= tlb {
-		return AllValid, dst
+		return AllValid, -1
 	}
 	if len(s.Seqs) == 0 || tlb < s.Seqs[0].TS {
-		return DropAll, dst
+		return DropAll, -1
 	}
 	// Deepest level with TS <= tlb; timestamps are non-decreasing with
 	// depth, so scan forward.
@@ -202,90 +209,136 @@ func (s *Structure) Locate(tlb float64, dst []int32) (Action, []int32) {
 	for level+1 < len(s.Seqs) && s.Seqs[level+1].TS <= tlb {
 		level++
 	}
-	return InvalidateSet, s.IDsAtLevel(level, dst)
+	return InvalidateSet, level
+}
+
+// Marked reports whether item id is marked at level (0 = the top, N-bit
+// sequence), i.e. whether a client told to invalidate that level must
+// discard it.
+//
+//hot — called once per cached item when a client applies a report.
+func (s *Structure) Marked(id int32, level int) bool { return int(s.depth[id]) > level }
+
+// Locate implements the client-side BS algorithm (paper Figure 2): given
+// the client's last-report timestamp tlb, it returns the action and, for
+// InvalidateSet, dst extended with the ids to invalidate.
+func (s *Structure) Locate(tlb float64, dst []int32) (Action, []int32) {
+	action, level := s.Level(tlb)
+	if action != InvalidateSet {
+		return action, dst
+	}
+	return action, s.IDsAtLevel(level, dst)
 }
 
 // IDsAtLevel appends the item ids marked at level li (0 = the top, N-bit
 // sequence) to dst, in ascending id order.
 func (s *Structure) IDsAtLevel(li int, dst []int32) []int32 {
-	top := &s.Seqs[0]
-	counters := make([]int, li+1)
-	for id := 0; id < top.Len; id++ {
-		if !top.get(id) {
-			continue
-		}
-		// The item's position at level l+1 is its rank among level-l
-		// marked items; walk down while it stays marked.
-		marked := true
-		pos := counters[0]
-		counters[0]++
-		for l := 1; l <= li; l++ {
-			if !s.Seqs[l].get(pos) {
-				marked = false
-				break
-			}
-			next := counters[l]
-			counters[l]++
-			pos = next
-		}
-		if marked {
+	if li < 0 || li >= len(s.Seqs) {
+		panic("bitseq: level out of range")
+	}
+	for id, d := range s.depth {
+		if int(d) > li {
 			dst = append(dst, int32(id))
 		}
 	}
 	return dst
 }
 
-// SizeBits reports the analytic report size in bits: the sum of all
-// sequence lengths plus one timestamp per sequence including the dummy
-// B_0, matching the paper's 2N + bT*log2(N) formula.
-func (s *Structure) SizeBits(tsBits int) int {
-	total := tsBits // TS(B0)
-	for i := range s.Seqs {
-		total += s.Seqs[i].Len + tsBits
-	}
-	return total
-}
+// SizeBits reports the analytic report size in bits; see the package
+// function SizeBits.
+func (s *Structure) SizeBits(tsBits int) int { return SizeBits(s.N, tsBits) }
 
 // Encode serializes the structure with bit-exact field widths. The wire
-// layout is TS0, then each level's timestamp followed by its raw bits.
-// N and the level count are implicit: every client knows the database
-// size.
+// layout is TS0, then each level's timestamp followed by its raw bits in
+// sequence order. N and the level count are implicit: every client knows
+// the database size.
 func (s *Structure) Encode(w *bitio.Writer) {
 	w.WriteFloat(s.TS0)
 	for i := range s.Seqs {
 		seq := &s.Seqs[i]
 		w.WriteFloat(seq.TS)
-		for b := 0; b < seq.Len; b++ {
-			w.WriteBool(seq.get(b))
+		// Bit b sits at bit b%64 of word b/64, and the writer emits the
+		// most significant bit first: a reversed word puts bit 0 in front.
+		full := seq.Len / 64
+		for _, word := range seq.Bits[:full] {
+			w.WriteBits(bits.Reverse64(word), 64)
+		}
+		if rem := seq.Len % 64; rem > 0 {
+			w.WriteBits(bits.Reverse64(seq.Bits[full])>>(64-rem), rem)
 		}
 	}
 }
 
-// Decode reconstructs a structure for an n-item database from r.
+// decodeBits reads the Len bits Encode wrote for seq and counts its ones.
+func (seq *Sequence) decodeBits(r *bitio.Reader) error {
+	full := seq.Len / 64
+	for i := 0; i < full; i++ {
+		v, err := r.ReadBits(64)
+		if err != nil {
+			return err
+		}
+		seq.Bits[i] = bits.Reverse64(v)
+	}
+	if rem := seq.Len % 64; rem > 0 {
+		v, err := r.ReadBits(rem)
+		if err != nil {
+			return err
+		}
+		seq.Bits[full] = bits.Reverse64(v << (64 - rem))
+	}
+	for _, word := range seq.Bits {
+		seq.Ones += bits.OnesCount64(word)
+	}
+	return nil
+}
+
+// Decode reconstructs a structure for an n-item database from r. Besides
+// truncation it rejects, with ErrLevelOverflow, a frame whose level l
+// marks more items than level l+1 has bits.
 func Decode(n int, r *bitio.Reader) (*Structure, error) {
-	st := &Structure{N: n}
 	ts0, err := r.ReadFloat()
 	if err != nil {
 		return nil, err
 	}
-	st.TS0 = ts0
-	for size := n; size >= 2; size /= 2 {
-		var seq Sequence
+	st := &Structure{N: n, TS0: ts0, Seqs: newLevels(n)}
+	for l := range st.Seqs {
+		seq := &st.Seqs[l]
 		if seq.TS, err = r.ReadFloat(); err != nil {
 			return nil, err
 		}
-		seq.Len = size
-		seq.Bits = make([]uint64, (size+63)/64)
-		for b := 0; b < size; b++ {
-			bit, err := r.ReadBool()
-			if err != nil {
-				return nil, err
-			}
-			if bit {
-				seq.set(b)
-			}
+		if err := seq.decodeBits(r); err != nil {
+			return nil, err
 		}
-		st.Seqs = append(st.Seqs, seq)
+		if l+1 < len(st.Seqs) && seq.Ones > st.Seqs[l+1].Len {
+			return nil, fmt.Errorf("%w: level %d has %d ones, level %d has %d bits",
+				ErrLevelOverflow, l, seq.Ones, l+1, st.Seqs[l+1].Len)
+		}
 	}
+	st.indexDepth()
 	return st, nil
+}
+
+// indexDepth derives the mark-depth index from the level bits with one
+// walk over the top level's marks: an item's position at level l+1 is its
+// rank, in id order, among the items marked at level l. Bits that no
+// higher-level mark reaches are ignored, as the client algorithm ignores
+// them.
+func (s *Structure) indexDepth() {
+	s.depth = make([]uint8, max(s.N, 0))
+	if len(s.Seqs) == 0 {
+		return
+	}
+	var next [64]int
+	for w, word := range s.Seqs[0].Bits {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 + bits.TrailingZeros64(word)
+			pos, d := id, 0
+			for d < len(s.Seqs) && s.Seqs[d].get(pos) {
+				pos = next[d]
+				next[d]++
+				d++
+			}
+			s.depth[id] = uint8(d)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package bitseq
 
 import (
+	"math/bits"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -345,4 +347,91 @@ func TestLevelNesting(t *testing.T) {
 		}
 		prev = cur
 	}
+}
+
+// TestSizeBitsOverDatabaseSizes pins the one size formula, which both
+// Structure.SizeBits and the adaptive schemes' extended-vs-BS comparison
+// use, for every database size up to 80000: the top sequence has n bits
+// and each of the floor(log2 n) sequences halves the one above, each with
+// a timestamp, plus the dummy TS(B_0). For a sample of sizes it also
+// matches a built structure's level lengths and its encoded length.
+func TestSizeBitsOverDatabaseSizes(t *testing.T) {
+	for _, tsBits := range []int{64, 32} {
+		for n := 2; n <= 80000; n++ {
+			levels := bits.Len(uint(n)) - 1
+			want := tsBits * (levels + 1)
+			for l := 0; l < levels; l++ {
+				want += n >> l
+			}
+			if got := SizeBits(n, tsBits); got != want {
+				t.Fatalf("SizeBits(%d, %d) = %d, want %d", n, tsBits, got, want)
+			}
+		}
+	}
+	for _, n := range []int{2, 3, 4, 5, 63, 64, 65, 100, 1000, 1023, 1024, 10000, 80000} {
+		d := db.New(n, false)
+		d.Update(int32(n/2), 1)
+		st := Build(n, d)
+		want := 64 * (st.Levels() + 1)
+		for i := range st.Seqs {
+			want += st.Seqs[i].Len
+		}
+		w := bitio.NewWriter()
+		st.Encode(w)
+		if st.SizeBits(64) != want || w.Len() != want {
+			t.Fatalf("n=%d: SizeBits %d, encoded %d, level lengths give %d", n, st.SizeBits(64), w.Len(), want)
+		}
+	}
+}
+
+// TestConcurrentReaders shares one built and one decoded structure among
+// several goroutines, as one broadcast report is shared by every client
+// that hears it. Build and Decode finish the mark-depth index before they
+// return, so readers need no lock; run with -race to check.
+func TestConcurrentReaders(t *testing.T) {
+	const n = 1000
+	src := rng.New(17)
+	d := db.New(n, false)
+	now := 0.0
+	for i := 0; i < 2*n; i++ {
+		now += src.Exp(1)
+		d.Update(int32(src.Intn(n)), now)
+	}
+	built := Build(n, d)
+	w := bitio.NewWriter()
+	built.Encode(w)
+	decoded, err := Decode(n, bitio.NewReader(w.Bytes(), w.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlbs := boundaryTlbs(built)
+	want := make([]int, len(tlbs))
+	for i, tlb := range tlbs {
+		_, ids := built.Locate(tlb, nil)
+		want[i] = len(ids)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, s := range []*Structure{built, decoded} {
+				for i, tlb := range tlbs {
+					_, level := s.Level(tlb)
+					_, ids := s.Locate(tlb, nil)
+					if len(ids) != want[i] {
+						t.Errorf("tlb %v: %d ids, want %d", tlb, len(ids), want[i])
+						return
+					}
+					for _, id := range ids {
+						if !s.Marked(id, level) {
+							t.Errorf("tlb %v: located id %d is not marked at level %d", tlb, id, level)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

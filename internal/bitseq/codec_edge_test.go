@@ -1,6 +1,8 @@
 package bitseq
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"mobicache/internal/bitio"
@@ -119,5 +121,69 @@ func TestLocateBoundaryTimestamps(t *testing.T) {
 			t.Fatalf("boundary Tlb invalidates more (%d) than the level above (%d)",
 				len(idsDeep), len(idsTop))
 		}
+	}
+}
+
+// rawFrame encodes a bit-sequences frame for an n-item database by hand:
+// TS0 = 100, then for each level a zero timestamp and the bits mark sets.
+// It reaches frames Build never produces.
+func rawFrame(n int, mark func(level, bit int) bool) *bitio.Reader {
+	w := bitio.NewWriter()
+	w.WriteFloat(100)
+	for l, size := 0, n; size >= 2; l, size = l+1, size/2 {
+		w.WriteFloat(0)
+		for b := 0; b < size; b++ {
+			w.WriteBool(mark(l, b))
+		}
+	}
+	return bitio.NewReader(w.Bytes(), w.Len())
+}
+
+// TestDecodeRejectsLevelOverflow pins the frame check: level l may mark
+// at most as many items as level l+1 has bits, because each mark owns one
+// bit of the next level. An overflowing frame used to decode cleanly and
+// then panic in Locate; accepted frames must locate at every level
+// without panicking and agree with the reference walk.
+func TestDecodeRejectsLevelOverflow(t *testing.T) {
+	all := func(int, int) bool { return true }
+	cases := []struct {
+		name string
+		n    int
+		mark func(level, bit int) bool
+		err  error
+	}{
+		{"all-ones-256", 256, all, ErrLevelOverflow},
+		{"all-ones-64", 64, all, ErrLevelOverflow},
+		{"top-one-over-capacity", 8, func(l, b int) bool { return l == 0 && b < 5 }, ErrLevelOverflow},
+		{"inner-level-over-capacity", 16, func(l, b int) bool { return l == 1 && b < 5 }, ErrLevelOverflow},
+		{"every-level-at-capacity", 16, func(l, b int) bool { return b < 16>>(l+1) || l == 3 }, nil},
+		{"last-level-full", 8, func(l, b int) bool { return l == 2 }, nil},
+		{"unreachable-marks", 16, func(l, b int) bool { return l == 0 && b == 3 || l > 0 && b == 2 }, nil},
+		{"minimum-database", 2, all, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Decode(tc.n, rawFrame(tc.n, tc.mark))
+			if tc.err != nil {
+				if !errors.Is(err, tc.err) {
+					t.Fatalf("Decode error = %v, want %v", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			for l := range s.Seqs {
+				if got, want := s.IDsAtLevel(l, nil), refIDsAtLevel(s, l, nil); !slices.Equal(got, want) {
+					t.Fatalf("level %d: IDsAtLevel = %v, reference %v", l, got, want)
+				}
+			}
+			for _, tlb := range boundaryTlbs(s) {
+				s.Locate(tlb, nil)
+			}
+		})
+	}
+	if _, err := Decode(64, bitio.NewReader([]byte{1, 2, 3}, 24)); !errors.Is(err, bitio.ErrShortBuffer) {
+		t.Fatalf("truncated frame: error %v, want %v", err, bitio.ErrShortBuffer)
 	}
 }

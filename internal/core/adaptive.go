@@ -99,7 +99,7 @@ func (sv *adaptiveServer) BuildReport(d *db.Database, now float64) report.Report
 		extEntries := d.CountUpdatedSince(oldest) + 1 // + dummy record
 		per := sv.p.Rep.IDBits() + sv.p.Rep.TSBits
 		extBits := sv.p.Rep.TSBits + extEntries*per
-		bsBits := sv.p.Rep.TSBits + bsSizeBits(sv.p)
+		bsBits := sv.p.Rep.TSBits + bitseq.SizeBits(sv.p.N, sv.p.Rep.TSBits)
 		if extBits <= bsBits {
 			sv.SentExt++
 			return &report.TSReport{
@@ -112,17 +112,6 @@ func (sv *adaptiveServer) BuildReport(d *db.Database, now float64) report.Report
 	}
 	sv.SentBS++
 	return &report.BSReport{T: now, S: bitseq.Build(sv.p.N, d)}
-}
-
-// bsSizeBits is the analytic bit-sequences structure size for an N-item
-// database: sum of level lengths plus one timestamp per level and the
-// dummy B0 timestamp.
-func bsSizeBits(p Params) int {
-	total := p.Rep.TSBits
-	for size := p.N; size >= 2; size /= 2 {
-		total += size + p.Rep.TSBits
-	}
-	return total
 }
 
 type adaptiveClient struct {

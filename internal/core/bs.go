@@ -63,30 +63,39 @@ func (c *bsClient) HandleReport(st *ClientState, r report.Report, now float64) O
 }
 
 // applyBS runs the client-side BS step; shared with the adaptive schemes.
+// The client tests its own cached ids against the located level instead of
+// expanding the level into an id list, so the cost is O(cache) whatever
+// the database size. The order of invalidation only decides which free
+// slots later insertions reuse, which no cache operation can observe.
+//
+//hot — every client that hears a bit-sequences report runs it; scratch
+// keeps its capacity across reports, so nothing allocates.
 func applyBS(st *ClientState, br *report.BSReport, scratch *[]int32) Outcome {
-	action, ids := br.S.Locate(st.Tlb, (*scratch)[:0])
-	*scratch = ids
+	action, level := br.S.Level(st.Tlb)
+	var out Outcome
 	switch action {
 	case bitseq.AllValid:
 		st.Cache.TouchAll(br.T)
-		validate(st, br.T)
-		return Outcome{Ready: true}
 	case bitseq.DropAll:
 		dropAll(st)
-		validate(st, br.T)
-		return Outcome{Ready: true, DroppedAll: true}
+		out.DroppedAll = true
 	default: // InvalidateSet
 		had := st.Cache.Len()
+		ids := st.Cache.IDs((*scratch)[:0])
+		*scratch = ids
 		for _, id := range ids {
-			st.Cache.Invalidate(id)
+			if br.S.Marked(id, level) {
+				st.Cache.Invalidate(id)
+			}
 		}
 		st.Cache.TouchAll(br.T)
 		if st.Cache.Len() > 0 && had > 0 {
 			st.Salvages++
 		}
-		validate(st, br.T)
-		return Outcome{Ready: true}
 	}
+	validate(st, br.T)
+	out.Ready = true
+	return out
 }
 
 // HandleValidity implements ClientSide.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mobicache/internal/bitio"
+	"mobicache/internal/bitseq"
 	"mobicache/internal/db"
 	"mobicache/internal/report"
 )
@@ -35,6 +36,18 @@ func FuzzDecodeIR(f *testing.F) {
 	signEdge := &report.ATReport{T: 95, IDs: []int32{1}}
 	report.SetSeq(signEdge, 1<<31)
 	seed(signEdge)
+	// Every bit of every level set: each level marks more items than the
+	// next level has bits, so its marks address bits past the next
+	// level's end. Decode must reject the frame.
+	allOnes := &bitseq.Structure{N: p.N, TS0: 100}
+	for size := p.N; size >= 2; size /= 2 {
+		seq := bitseq.Sequence{Len: size, Ones: size, Bits: make([]uint64, (size+63)/64)}
+		for b := 0; b < size; b++ {
+			seq.Bits[b>>6] |= 1 << (b & 63)
+		}
+		allOnes.Seqs = append(allOnes.Seqs, seq)
+	}
+	seed(&report.BSReport{T: 100, S: allOnes})
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0x80}) // header-only: kind + all-ones seq, then truncation
@@ -44,6 +57,18 @@ func FuzzDecodeIR(f *testing.F) {
 		rep, err := report.Decode(p, r)
 		if err != nil {
 			return // rejected, fine — we only demand it rejects cleanly
+		}
+		// An accepted bit-sequences frame must be locatable: no level
+		// marks more items than the next level has bits, and a client can
+		// locate at every level it might pick.
+		if bs, ok := rep.(*report.BSReport); ok {
+			for l := range bs.S.Seqs {
+				if l+1 < len(bs.S.Seqs) && bs.S.Seqs[l].Ones > bs.S.Seqs[l+1].Len {
+					t.Fatalf("accepted a frame whose level %d marks %d items for %d bits",
+						l, bs.S.Seqs[l].Ones, bs.S.Seqs[l+1].Len)
+				}
+				bs.S.Locate(bs.S.Seqs[l].TS, nil)
+			}
 		}
 		w := bitio.NewWriter()
 		report.Encode(rep, p, w)
